@@ -4,7 +4,7 @@
 //!
 //! Every equivalence suite in this repo proves the same thing end to
 //! end: parallel simulation is **bit-identical** to serial (threads,
-//! shards, BVH widths, packets, telemetry on/off). The *source-level*
+//! shards, BVH widths, telemetry on/off). The *source-level*
 //! invariants that make those tests pass — no wall clocks in merge
 //! paths, no hash-order iteration, total float ordering, FMA only
 //! behind its feature gate, audited `unsafe` — previously lived in

@@ -1,12 +1,11 @@
 //! Criterion micro-benchmarks for the hot kernels: intersection tests
-//! (scalar and the 8-wide/4-wide SIMD batches), the transposed 4-ray
-//! packet kernel, k-buffer insertion, BVH construction, node visits
-//! over a real built BVH, and cache lookups.
+//! (scalar and the 8-wide/4-wide SIMD batches), k-buffer insertion, BVH
+//! construction, node visits over a real built BVH, and cache lookups.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use grtx_bvh::builder::{build_wide_bvh, BuilderConfig};
 use grtx_math::intersect::{ray_sphere_unit, ray_triangle};
-use grtx_math::simd::{ray_triangle_4, slab_test_8, slab_test_8x4, SoaAabbs, Tri4};
+use grtx_math::simd::{ray_triangle_4, slab_test_8, SoaAabbs, Tri4};
 use grtx_math::{Aabb, Ray, Vec3};
 use grtx_render::kbuffer::KBuffer;
 use grtx_sim::Cache;
@@ -60,31 +59,6 @@ fn bench_slab8(c: &mut Criterion) {
             slab_test_8(black_box(&inv), black_box(&soa))
                 .mask
                 .count_ones()
-        })
-    });
-}
-
-/// Transposed packet kernel: four coherent rays against one wide node —
-/// four independent `slab_test_8` calls vs one `slab_test_8x4` call
-/// (the cache-miss work of one [`grtx_bvh::RayPacket4`] node test).
-fn bench_packet4(c: &mut Criterion) {
-    let boxes = grtx_bench::kernel_node_boxes();
-    let soa = SoaAabbs::from_aabbs(&boxes);
-    let rays = grtx_bench::kernel_packet_rays();
-    let invs = [rays[0].inv(), rays[1].inv(), rays[2].inv(), rays[3].inv()];
-    c.bench_function("packet4_single_ray", |b| {
-        b.iter(|| {
-            let mut hits = 0u32;
-            for inv in black_box(&invs) {
-                hits += slab_test_8(inv, black_box(&soa)).mask.count_ones();
-            }
-            hits
-        })
-    });
-    c.bench_function("packet4_transposed", |b| {
-        b.iter(|| {
-            let masks = slab_test_8x4(black_box(&invs), black_box(&soa));
-            masks.iter().map(|m| m.mask.count_ones()).sum::<u32>()
         })
     });
 }
@@ -194,6 +168,6 @@ fn bench_cache(c: &mut Criterion) {
 criterion_group! {
     name = kernels;
     config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_millis(500)).warm_up_time(std::time::Duration::from_millis(200));
-    targets = bench_intersections, bench_slab8, bench_packet4, bench_triangle4, bench_node_visits, bench_kbuffer, bench_builder, bench_cache
+    targets = bench_intersections, bench_slab8, bench_triangle4, bench_node_visits, bench_kbuffer, bench_builder, bench_cache
 }
 criterion_main!(kernels);

@@ -23,11 +23,10 @@
 //! caches without this module knowing about either.
 
 use crate::monolithic::MonolithicBvh;
-use crate::packet::PacketLane;
 use crate::two_level::{SharedBlas, TwoLevelBvh};
 use crate::wide::{ChildKind, WideBvh, MAX_WIDTH};
 use crate::AccelStruct;
-use grtx_math::simd::{slab_test_8, HitMask8};
+use grtx_math::simd::slab_test_8;
 use grtx_math::{ray::Interval, Ray, RayInv};
 use grtx_scene::GaussianScene;
 
@@ -230,49 +229,6 @@ pub fn trace_round(
     observer: &mut dyn TraversalObserver,
     any_hit: &mut dyn FnMut(u32, f32) -> AnyHitVerdict,
 ) -> RoundOutcome {
-    trace_round_packet(
-        accel,
-        scene,
-        ray,
-        t_min,
-        replay_source,
-        checkpoint_dest,
-        None,
-        observer,
-        any_hit,
-    )
-}
-
-/// [`trace_round`] with an optional packet lane: world-space wide-node
-/// box tests are served through the packet's shared result cache (one
-/// transposed kernel call per node per packet) instead of per-ray
-/// kernel calls. Results, traversal order, observer events, and
-/// checkpoints are bit-identical to the single-ray path — see
-/// [`crate::packet`] for the argument.
-///
-/// # Panics
-///
-/// Panics (debug builds) if the packet lane's stored ray differs from
-/// `ray` — a lane must serve exactly the ray it was built from.
-#[allow(clippy::too_many_arguments)] // trace_round's surface plus the packet lane
-pub fn trace_round_packet(
-    accel: &AccelStruct,
-    scene: &GaussianScene,
-    ray: &Ray,
-    t_min: f32,
-    replay_source: Option<&[CheckpointEntry]>,
-    checkpoint_dest: CheckpointSink<'_>,
-    packet: Option<PacketLane<'_>>,
-    observer: &mut dyn TraversalObserver,
-    any_hit: &mut dyn FnMut(u32, f32) -> AnyHitVerdict,
-) -> RoundOutcome {
-    if let Some(lane) = &packet {
-        debug_assert_eq!(
-            *lane.ray(),
-            ray.inv(),
-            "packet lane must carry the traced ray"
-        );
-    }
     let mut ctx = TraceCtx {
         accel,
         scene,
@@ -281,7 +237,6 @@ pub fn trace_round_packet(
         // once per ray here, never per box test.
         ray_inv: ray.inv(),
         interval: Interval::new(t_min, f32::INFINITY),
-        packet,
         observer,
         any_hit,
         dest: checkpoint_dest,
@@ -321,9 +276,6 @@ struct TraceCtx<'a> {
     ray: &'a Ray,
     ray_inv: RayInv,
     interval: Interval,
-    /// Shared packet lane for world-space node tests, if this ray is
-    /// part of a coherent 4-ray packet.
-    packet: Option<PacketLane<'a>>,
     observer: &'a mut dyn TraversalObserver,
     any_hit: &'a mut dyn FnMut(u32, f32) -> AnyHitVerdict,
     dest: CheckpointSink<'a>,
@@ -539,14 +491,8 @@ impl<'a> TraceCtx<'a> {
         // software analogue of the RT unit consuming one wide-node fetch
         // as eight parallel ray–box tests (this is the hottest loop in
         // the simulator). Lane results are bit-identical to the scalar
-        // test. A packet lane serves the call from its shared cache
-        // (same bits, amortized across four coherent rays); only
-        // world-space nodes reach this method, so the packet's
-        // world-space rays always apply.
-        let tested: HitMask8 = match self.packet.as_mut() {
-            Some(lane) => lane.node_test(id, &node.bounds),
-            None => slab_test_8(&self.ray_inv, &node.bounds),
-        };
+        // test.
+        let tested = slab_test_8(&self.ray_inv, &node.bounds);
         // Fixed-capacity hit list: wide nodes have at most eight
         // children, so this stays off the heap.
         let mut hits: [(f32, Slot); MAX_WIDTH] = [(0.0, Slot::MonoNode(0)); MAX_WIDTH];
@@ -732,8 +678,6 @@ impl<'a> TraceCtx<'a> {
                     let node = &bvh.nodes[id as usize];
                     self.observer.box_tests(node.len() as u32);
                     // Same batched 8-wide slab kernel as the TLAS loop.
-                    // Never packetized: the ray is in instance-local
-                    // space here, where packet-mates share nothing.
                     let tested = slab_test_8(&local_inv, &node.bounds);
                     let mut hits: [(f32, BlasItem); MAX_WIDTH] =
                         [(0.0, BlasItem::Node(0)); MAX_WIDTH];

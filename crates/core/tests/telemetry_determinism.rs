@@ -62,11 +62,8 @@ fn render_batch_is_bit_identical_with_telemetry_on() {
         // The traced run actually collected something.
         let report = on.telemetry.report().expect("enabled handle reports");
         assert!(
-            report
-                .counters
-                .iter()
-                .any(|c| c.name == "packet.kernel_calls"),
-            "traced render must publish packet counters"
+            report.spans.iter().any(|s| s.path == "render.fragment"),
+            "traced render must record fragment spans"
         );
     }
 }
@@ -139,7 +136,6 @@ fn identical_traced_runs_report_identical_structure() {
         "span:pipeline.merge",
         "span:shard.subtree",
         "counter:pipeline.frames",
-        "counter:packet.kernel_calls",
         "histogram:pipeline.frame_latency_us",
         "histogram:pipeline.handoff.build_depth",
     ] {

@@ -11,17 +11,17 @@
 //!
 //! The `fma` cargo feature contracts the slab arithmetic and therefore
 //! deliberately breaks bitwise equality **with the scalar reference**;
-//! those assertions gate themselves off under the feature. The packet
-//! transpose (`slab_test_8x4` lane `r` == `slab_test_8(rays[r])`) holds
-//! on every build, `fma` included, and stays unconditional.
+//! those assertions gate themselves off under the feature. Both sides of
+//! the dispatched-vs-portable identity contract identically, so those
+//! checks hold on every build, `fma` included, and stay unconditional.
 
 use grtx_math::simd::{
-    ray_triangle_4, ray_triangle_4_portable, slab_test_8, slab_test_8_portable, slab_test_8x4,
-    slab_test_8x4_portable, HitMask8, SoaAabbs, Tri4, Tri4Hit, LANES,
+    ray_triangle_4, ray_triangle_4_portable, slab_test_8, slab_test_8_portable, HitMask8, SoaAabbs,
+    Tri4, Tri4Hit, LANES,
 };
 #[cfg(not(feature = "fma"))]
-use grtx_math::Aabb;
-use grtx_math::{intersect::ray_triangle, Ray, Vec3};
+use grtx_math::{intersect::ray_triangle, Aabb};
+use grtx_math::{Ray, Vec3};
 use proptest::prelude::*;
 
 fn finite_f32(range: std::ops::Range<f32>) -> impl Strategy<Value = f32> {
@@ -75,27 +75,6 @@ fn triangle_case() -> impl Strategy<Value = [Vec3; 3]> {
     })
 }
 
-/// Four packet rays spanning the coherence spectrum the packet path
-/// meets in practice: two random rays, one axis-parallel, one with the
-/// shared origin of a primary-ray fan.
-fn ray_quad() -> impl Strategy<Value = [Ray; 4]> {
-    (
-        vec3(-12.0..12.0),
-        direction(),
-        direction(),
-        direction(),
-        direction(),
-    )
-        .prop_map(|(origin, d0, d1, d2, d3)| {
-            [
-                Ray::new(origin, d0),
-                Ray::new(origin, d1),
-                Ray::new(origin + Vec3::splat(0.25), d2),
-                Ray::new(origin, Vec3::new(d3.x, 0.0, 0.0)),
-            ]
-        })
-}
-
 fn assert_slab_paths_equal(a: &HitMask8, b: &HitMask8) -> Result<(), TestCaseError> {
     prop_assert_eq!(a.mask, b.mask, "hit masks diverge");
     for i in 0..LANES {
@@ -146,35 +125,6 @@ proptest! {
         prop_assert_eq!(batched.mask & !soa.lane_mask(), 0);
     }
 
-    /// The dispatched path (explicit AVX2/NEON when the CPU has it)
-    /// produces exactly the portable kernel's bits.
-    #[test]
-    fn slab_dispatch_equals_portable(boxes in proptest::collection::vec(aabb_case(), 0..9),
-                                     origin in vec3(-12.0..12.0), dir in direction()) {
-        let ray = Ray::new(origin, dir);
-        let soa = SoaAabbs::from_aabbs(&boxes);
-        assert_slab_paths_equal(
-            &slab_test_8(&ray.inv(), &soa),
-            &slab_test_8_portable(&ray.inv(), &soa),
-        )?;
-    }
-
-    /// Packet lane `r` of the dispatched packet kernel reproduces the
-    /// portable single-ray kernel bit-for-bit — the packet path may
-    /// never perturb a traversal decision.
-    #[test]
-    fn packet_lane_equals_portable_single_ray(
-        boxes in proptest::collection::vec(aabb_case(), 0..9),
-        rays in ray_quad(),
-    ) {
-        let soa = SoaAabbs::from_aabbs(&boxes);
-        let invs = [rays[0].inv(), rays[1].inv(), rays[2].inv(), rays[3].inv()];
-        let packet = slab_test_8x4(&invs, &soa);
-        for r in 0..4 {
-            assert_slab_paths_equal(&packet[r], &slab_test_8_portable(&invs[r], &soa))?;
-        }
-    }
-
     /// Lane `i` of the batched triangle test reproduces the scalar
     /// `ray_triangle` bit-for-bit, degenerate slivers included.
     #[test]
@@ -198,6 +148,23 @@ proptest! {
         }
         prop_assert_eq!(batched.mask & !packet.lane_mask(), 0);
     }
+}
+
+// The explicit AVX2/NEON paths must reproduce the portable kernel's bits
+// on every build: under `fma` both sides contract identically.
+proptest! {
+    /// The dispatched path (explicit AVX2/NEON when the CPU has it)
+    /// produces exactly the portable kernel's bits.
+    #[test]
+    fn slab_dispatch_equals_portable(boxes in proptest::collection::vec(aabb_case(), 0..9),
+                                     origin in vec3(-12.0..12.0), dir in direction()) {
+        let ray = Ray::new(origin, dir);
+        let soa = SoaAabbs::from_aabbs(&boxes);
+        assert_slab_paths_equal(
+            &slab_test_8(&ray.inv(), &soa),
+            &slab_test_8_portable(&ray.inv(), &soa),
+        )?;
+    }
 
     /// Dispatched triangle path equals the portable kernel bitwise.
     #[test]
@@ -209,27 +176,6 @@ proptest! {
             &ray_triangle_4(&ray, &packet),
             &ray_triangle_4_portable(&ray, &packet),
         )?;
-    }
-}
-
-// Under `fma` the scalar reference no longer matches bitwise, but the
-// packet transpose must still hold exactly: both sides of the identity
-// contract identically, so packet lane `r` == the dispatched single-ray
-// kernel on every build.
-proptest! {
-    #[test]
-    fn packet_lane_equals_dispatched_single_ray(
-        boxes in proptest::collection::vec(aabb_case(), 0..9),
-        rays in ray_quad(),
-    ) {
-        let soa = SoaAabbs::from_aabbs(&boxes);
-        let invs = [rays[0].inv(), rays[1].inv(), rays[2].inv(), rays[3].inv()];
-        let packet = slab_test_8x4(&invs, &soa);
-        let portable = slab_test_8x4_portable(&invs, &soa);
-        for r in 0..4 {
-            assert_slab_paths_equal(&packet[r], &slab_test_8(&invs[r], &soa))?;
-            assert_slab_paths_equal(&portable[r], &slab_test_8_portable(&invs[r], &soa))?;
-        }
     }
 }
 
@@ -277,10 +223,11 @@ fn slab_known_hard_cases_match_scalar() {
     }
 }
 
-/// The behind-origin packet hard case: four rays all pointing away from
-/// every box must produce all-miss masks on every path.
+/// The behind-origin hard case: rays all pointing away from every box
+/// must produce all-miss masks on the dispatched and portable paths, on
+/// every build (`fma` included).
 #[test]
-fn packet_behind_origin_rays_all_miss() {
+fn behind_origin_rays_all_miss() {
     let boxes: Vec<grtx_math::Aabb> = (0..8)
         .map(|i| {
             grtx_math::Aabb::from_center_half_extent(
@@ -294,13 +241,14 @@ fn packet_behind_origin_rays_all_miss() {
         Ray::new(Vec3::ZERO, Vec3::Z),
         Ray::new(Vec3::ZERO, Vec3::new(0.1, 0.0, 1.0)),
         Ray::new(Vec3::ZERO, Vec3::new(0.0, 0.1, 1.0)),
-        Ray::new(Vec3::ZERO, Vec3::new(0.0, 0.0, 1.0)),
     ];
-    let invs = [rays[0].inv(), rays[1].inv(), rays[2].inv(), rays[3].inv()];
-    for hit in slab_test_8x4(&invs, &soa) {
-        assert_eq!(hit.mask, 0, "behind-origin boxes must all miss");
-    }
-    for hit in slab_test_8x4_portable(&invs, &soa) {
-        assert_eq!(hit.mask, 0);
+    for ray in &rays {
+        let inv = ray.inv();
+        assert_eq!(
+            slab_test_8(&inv, &soa).mask,
+            0,
+            "behind-origin boxes must all miss"
+        );
+        assert_eq!(slab_test_8_portable(&inv, &soa).mask, 0);
     }
 }

@@ -54,7 +54,7 @@ use crate::blend::BlendState;
 use crate::image::Image;
 use crate::renderer::{shader_cycles, RenderConfig, RenderReport, SecondaryBreakdown};
 use crate::tracer::{RayTracer, TraceParams};
-use grtx_bvh::{AccelStruct, PacketCacheStats, RayPacket4};
+use grtx_bvh::AccelStruct;
 use grtx_fault::GrtxError;
 use grtx_math::Ray;
 use grtx_prof::{FragmentProfile, FragmentRecorder, Profiler};
@@ -62,9 +62,7 @@ use grtx_scene::{Camera, EffectObjects, GaussianScene};
 use grtx_sim::fasthash::FastMap;
 use grtx_sim::{GpuConfig, GpuSim, RayTraceState, WarpSchedule};
 use grtx_telemetry::Telemetry;
-use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::rc::Rc;
 
 /// One traced job: pixel index, ray, scene cut-off.
 struct Job {
@@ -142,15 +140,10 @@ pub struct SmOutcome {
     warp_times: Vec<(usize, (u64, u64))>,
     /// `(launch-local job index, final blend state)` for this SM's rays.
     blends: Vec<(usize, BlendState)>,
-    /// Packet node-test cache counters for this fragment's warps. Kept
-    /// out of [`grtx_sim::SimStats`] on purpose: packets must leave the
-    /// simulated statistics bit-identical, so their observability rides
-    /// on the side and reaches the user only through telemetry counters.
-    packet_stats: PacketCacheStats,
     /// The fragment's microarchitecture profile, recorded only when the
-    /// engine's [`Profiler`] is enabled. Rides on the side exactly like
-    /// `packet_stats` — never into `SimStats`/`RenderReport` — and is
-    /// drained into the profiler sink at merge time.
+    /// engine's [`Profiler`] is enabled. Rides on the side — never into
+    /// `SimStats`/`RenderReport` — and is drained into the profiler sink
+    /// at merge time.
     profile: Option<FragmentProfile>,
 }
 
@@ -189,7 +182,7 @@ impl RenderEngine {
     }
 
     /// Attaches a telemetry handle: render workers record per-fragment
-    /// spans and the merge publishes packet-cache counters. The default
+    /// spans and the merge records per-camera spans. The default
     /// (disabled) handle records nothing and costs one branch per event.
     /// Telemetry never changes images, cycles, or statistics.
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
@@ -451,7 +444,6 @@ impl RenderEngine {
                         config,
                         &schedule,
                         mine,
-                        &self.telemetry,
                         &self.profiler,
                         base_key + cam as u64,
                     )
@@ -563,7 +555,6 @@ impl RenderEngine {
             config,
             &schedule,
             outcomes,
-            &self.telemetry,
             &self.profiler,
             key,
         )
@@ -596,26 +587,17 @@ impl RenderEngine {
         // Secondary warps continue the round-robin where the primary
         // warps left off. The two phases run back-to-back, preserving the
         // seed renderer's ordering (all primaries retire before any
-        // secondary starts). Only primary rays are coherent row-major
-        // fans, so only the primary phase packetizes.
-        let phases: [(&[Job], usize, usize, usize, bool); 2] = [
-            (
-                &launch.primary_jobs,
-                launch.primary_warps,
-                0,
-                0,
-                config.ray_packets,
-            ),
+        // secondary starts).
+        let phases: [(&[Job], usize, usize, usize); 2] = [
+            (&launch.primary_jobs, launch.primary_warps, 0, 0),
             (
                 &launch.secondary_jobs,
                 launch.secondary_warps,
                 launch.primary_warps,
                 launch.primary_jobs.len(),
-                false,
             ),
         ];
-        let mut packet_stats = PacketCacheStats::default();
-        for (jobs, warp_count, warp_base, job_base, packets) in phases {
+        for (jobs, warp_count, warp_base, job_base) in phases {
             let my_warps: Vec<usize> = (0..warp_count)
                 .filter(|w| schedule.sm_of_launch_warp(warp_base + w) == sm)
                 .collect();
@@ -630,8 +612,6 @@ impl RenderEngine {
                 config,
                 &my_warps,
                 warp_size,
-                packets,
-                &mut packet_stats,
                 profile.as_mut(),
                 |warp, times| warp_times.push((warp_base + warp, times)),
                 |job, blend| blends.push((job_base + job, blend)),
@@ -642,7 +622,6 @@ impl RenderEngine {
             sim,
             warp_times,
             blends,
-            packet_stats,
             profile,
         }
     }
@@ -651,14 +630,12 @@ impl RenderEngine {
 /// Merges one camera's fragment outcomes in the order given (callers
 /// pass SM order): warp times land at their launch-local indices, blend
 /// states at their jobs, and the per-SM simulators absorb in sequence.
-#[allow(clippy::too_many_arguments)]
 fn merge_camera(
     launch: &CameraLaunch,
     camera: &Camera,
     config: &RenderConfig,
     schedule: &WarpSchedule,
     outcomes: impl IntoIterator<Item = SmOutcome>,
-    telemetry: &Telemetry,
     profiler: &Profiler,
     key: u64,
 ) -> RenderReport {
@@ -666,7 +643,6 @@ fn merge_camera(
     let mut primary_blends = vec![BlendState::new(); launch.primary_jobs.len()];
     let mut secondary_blends = vec![BlendState::new(); launch.secondary_jobs.len()];
     let mut agg: Option<GpuSim> = None;
-    let mut packet_totals = PacketCacheStats::default();
     for mut outcome in outcomes {
         // Fragment profiles detach before the sims fold together: the
         // sink receives per-(launch, SM) snapshots and re-sorts every
@@ -675,7 +651,6 @@ fn merge_camera(
         if let Some(profile) = outcome.profile.take() {
             profiler.submit(key, profile);
         }
-        packet_totals.absorb(&outcome.packet_stats);
         for (warp, times) in &outcome.warp_times {
             warps[*warp] = *times;
         }
@@ -692,13 +667,6 @@ fn merge_camera(
         }
     }
     let sim = agg.expect("at least one SM fragment");
-    // Counter sums are order-independent, so these values are
-    // deterministic for a deterministic workload at any thread count.
-    if packet_totals.kernel_calls + packet_totals.cache_hits > 0 {
-        telemetry.counter_add("packet.kernel_calls", packet_totals.kernel_calls);
-        telemetry.counter_add("packet.cache_hits", packet_totals.cache_hits);
-        telemetry.counter_add("packet.evictions", packet_totals.evictions);
-    }
     compose_report(
         launch,
         camera,
@@ -784,9 +752,6 @@ struct WarpExec<'a> {
     compute: u64,
     stall: u64,
     index: usize,
-    /// The packets attached to this warp's tracers (empty when packets
-    /// are off); drained for cache counters when the warp retires.
-    packets: Vec<Rc<RefCell<RayPacket4>>>,
 }
 
 impl WarpExec<'_> {
@@ -812,8 +777,6 @@ fn run_warp_queue<'a>(
     config: &RenderConfig,
     warps: &[usize],
     warp_size: usize,
-    packets: bool,
-    packet_stats: &mut PacketCacheStats,
     mut profile: Option<&mut FragmentRecorder>,
     mut on_warp_done: impl FnMut(usize, (u64, u64)),
     mut on_blend: impl FnMut(usize, BlendState),
@@ -825,7 +788,7 @@ fn run_warp_queue<'a>(
 
     let make_exec = |w: usize| -> WarpExec<'a> {
         let chunk = &jobs[w * warp_size..((w + 1) * warp_size).min(jobs.len())];
-        let mut tracers: Vec<RayTracer<'a>> = chunk
+        let tracers: Vec<RayTracer<'a>> = chunk
             .iter()
             .map(|job| {
                 let params = TraceParams {
@@ -835,33 +798,12 @@ fn run_warp_queue<'a>(
                 RayTracer::new(accel, scene, job.ray, params)
             })
             .collect();
-        let mut packet_handles = Vec::new();
-        if packets {
-            // A warp's jobs are consecutive row-major pixels, so quads
-            // of four adjacent tracers form coherent packets sharing
-            // wide-node box tests. A warp advances its lanes on one
-            // thread, so the shared `Rc<RefCell<_>>` never crosses
-            // threads. Partial trailing quads stay single-ray.
-            for (q, quad) in chunk.chunks_exact(4).enumerate() {
-                let packet = Rc::new(RefCell::new(RayPacket4::new([
-                    &quad[0].ray,
-                    &quad[1].ray,
-                    &quad[2].ray,
-                    &quad[3].ray,
-                ])));
-                for lane in 0..4 {
-                    tracers[q * 4 + lane].attach_packet(packet.clone(), lane);
-                }
-                packet_handles.push(packet);
-            }
-        }
         WarpExec {
             tracers,
             states: chunk.iter().map(|_| RayTraceState::new()).collect(),
             compute: 0,
             stall: 0,
             index: w,
-            packets: packet_handles,
         }
     };
 
@@ -936,9 +878,6 @@ fn run_warp_queue<'a>(
         // Retire finished warps (back to front to keep indices valid).
         for &slot in finished.iter().rev() {
             let warp = resident.swap_remove(slot);
-            for packet in &warp.packets {
-                packet_stats.absorb(&packet.borrow().cache_stats());
-            }
             if let Some(rec) = profile.as_deref_mut() {
                 rec.retire(warp.index);
             }

@@ -3,14 +3,9 @@
 
 use crate::blend::BlendState;
 use crate::kbuffer::{Entry, InsertOutcome, KBuffer};
-use grtx_bvh::{
-    trace_round_packet, AccelStruct, AnyHitVerdict, CheckpointEntry, PacketLane, RayPacket4,
-    TraversalObserver,
-};
+use grtx_bvh::{trace_round, AccelStruct, AnyHitVerdict, CheckpointEntry, TraversalObserver};
 use grtx_math::Ray;
 use grtx_scene::GaussianScene;
-use std::cell::RefCell;
-use std::rc::Rc;
 
 /// Tracing discipline (Figs. 6 and 13).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -143,11 +138,6 @@ pub struct RayTracer<'a> {
     pub record_blends: bool,
     /// The recorded sequence.
     pub blend_log: Vec<Entry>,
-    /// Shared coherent-ray packet and this tracer's lane in it, when
-    /// packet traversal is enabled (see [`RayPacket4`]). The `Rc` ties
-    /// the four packet-mates to one thread — warps never split across
-    /// threads, so this is never a constraint in practice.
-    packet: Option<(Rc<RefCell<RayPacket4>>, usize)>,
 }
 
 impl<'a> RayTracer<'a> {
@@ -174,17 +164,7 @@ impl<'a> RayTracer<'a> {
             peak_eviction_entries: 0,
             record_blends: false,
             blend_log: Vec::new(),
-            packet: None,
         }
-    }
-
-    /// Joins this tracer to lane `lane` of a shared 4-ray packet. The
-    /// packet lane's ray must be the tracer's ray (checked in debug
-    /// builds on every round); results stay bit-identical to the
-    /// unpacketed path, only kernel work is amortized.
-    pub fn attach_packet(&mut self, packet: Rc<RefCell<RayPacket4>>, lane: usize) {
-        assert!(lane < 4, "a packet has four lanes");
-        self.packet = Some((packet, lane));
     }
 
     /// `true` once the ray has terminated.
@@ -233,27 +213,19 @@ impl<'a> RayTracer<'a> {
 
     fn single_round(&mut self, observer: &mut dyn TraversalObserver) -> RoundReport {
         let mut all: Vec<Entry> = Vec::new();
-        let mut packet = self
-            .packet
-            .as_ref()
-            .map(|(p, lane)| (p.borrow_mut(), *lane));
-        trace_round_packet(
+        trace_round(
             self.accel,
             self.scene,
             &self.ray,
             0.0,
             None,
             None,
-            packet
-                .as_mut()
-                .map(|(p, lane)| PacketLane::new(&mut *p, *lane)),
             observer,
             &mut |g, t| {
                 all.push((t, g));
                 AnyHitVerdict::Ignore
             },
         );
-        drop(packet);
         all.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
         all.dedup();
         let n = all.len() as u64;
@@ -315,11 +287,7 @@ impl<'a> RayTracer<'a> {
 
         let mut sort_steps = 0u64;
         let mut new_evictions: Vec<Entry> = Vec::new();
-        let mut packet = self
-            .packet
-            .as_ref()
-            .map(|(p, lane)| (p.borrow_mut(), *lane));
-        trace_round_packet(
+        trace_round(
             self.accel,
             self.scene,
             &self.ray,
@@ -330,9 +298,6 @@ impl<'a> RayTracer<'a> {
             } else {
                 None
             },
-            packet
-                .as_mut()
-                .map(|(p, lane)| PacketLane::new(&mut *p, *lane)),
             observer,
             &mut |g, t| match kbuf.insert(t, g) {
                 InsertOutcome::Accepted {
@@ -357,7 +322,6 @@ impl<'a> RayTracer<'a> {
                 InsertOutcome::Duplicate => AnyHitVerdict::Ignore,
             },
         );
-        drop(packet);
         report.sort_steps = sort_steps;
         report.eviction_writes = new_evictions.len() as u64;
         if checkpointing {
