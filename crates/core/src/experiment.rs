@@ -228,10 +228,12 @@ pub struct ExperimentResult {
 }
 
 /// One frame of a [`SceneSetup::run_stream`] frame stream, in frame
-/// order. Under the default [`RunOptions::retry`] policy every frame is
-/// [`StreamFrame::Rendered`]; a quarantining policy surfaces frames
-/// whose stage tasks exhausted their attempts as [`StreamFrame::Failed`]
-/// — in order, while later frames keep rendering.
+/// order. Under every [`RunOptions::retry`] policy, a frame with an
+/// invalid scene or camera is [`StreamFrame::Failed`] with its typed
+/// error, and so are successors that reuse its scene. A quarantining
+/// policy also surfaces frames whose stage tasks exhausted their
+/// attempts as [`StreamFrame::Failed`] — in order, while later frames
+/// keep rendering.
 #[derive(Debug, Clone)]
 pub enum StreamFrame {
     /// The frame rendered: its per-view experiment rows plus stream
@@ -248,7 +250,8 @@ pub enum StreamFrame {
         /// frame.
         results: Vec<ExperimentResult>,
     },
-    /// The frame was quarantined after exhausting its retry budget.
+    /// The frame had invalid inputs, depended on a frame that did, or
+    /// was quarantined after exhausting its retry budget.
     Failed {
         /// Frame index in the stream.
         index: usize,
@@ -282,12 +285,12 @@ impl StreamFrame {
         }
     }
 
-    /// Whether the frame was quarantined.
+    /// Whether the frame failed.
     pub fn is_failed(&self) -> bool {
         matches!(self, Self::Failed { .. })
     }
 
-    /// The failure, when the frame was quarantined.
+    /// The failure, when the frame failed.
     pub fn error(&self) -> Option<&GrtxError> {
         match self {
             Self::Rendered { .. } => None,
@@ -500,43 +503,26 @@ impl SceneSetup {
         Ok(self.run_batch(variant, options, cameras))
     }
 
-    /// Runs one full simulated render for `(variant, options)`.
+    /// Runs one full simulated render for `(variant, options)`: the
+    /// one-camera [`Self::run_batch`] of the evaluation camera.
     pub fn run(&self, variant: &PipelineVariant, options: &RunOptions) -> ExperimentResult {
-        let layout = Self::layout(options);
-        if options.shards > 0 {
-            let sharded = self.build_sharded_accel_traced(
-                variant,
-                &layout,
-                options.shards,
-                options.threads,
-                &options.telemetry,
-            );
-            let mut result = self.run_with_accel(sharded.accel(), variant, options);
-            result.sharding = Some(sharded.summary());
-            result
-        } else {
-            let accel = self.build_accel(variant, &layout);
-            self.run_with_accel(&accel, variant, options)
-        }
+        self.run_batch(variant, options, std::slice::from_ref(&self.camera))
+            .pop()
+            .expect("one camera yields one result")
     }
 
     /// Runs with a pre-built structure (lets benches reuse expensive
-    /// builds across parameter sweeps).
+    /// builds across parameter sweeps): the one-camera
+    /// [`Self::run_batch_with_accel`] of the evaluation camera.
     pub fn run_with_accel(
         &self,
         accel: &AccelStruct,
         variant: &PipelineVariant,
         options: &RunOptions,
     ) -> ExperimentResult {
-        let config = Self::render_config(variant, options);
-        let gpu = options.gpu.clone().with_cache_scale(self.divisor);
-        let effects = self.effects(options);
-        let report = RenderEngine::new(gpu)
-            .with_threads(options.threads)
-            .with_telemetry(options.telemetry.clone())
-            .with_profiler(options.profiler.clone())
-            .render(accel, &self.scene, &self.camera, effects.as_ref(), &config);
-        self.result_for(accel, report)
+        self.run_batch_with_accel(accel, variant, options, std::slice::from_ref(&self.camera))
+            .pop()
+            .expect("one camera yields one result")
     }
 
     /// Renders `cameras` views of this scene in one batched engine
@@ -685,9 +671,11 @@ impl SceneSetup {
     /// Frames arrive in strict frame order, and every frame's images,
     /// cycles, and statistics are **bit-identical** to a sequential
     /// per-frame [`Self::run_batch`] of the same scene and cameras — at
-    /// any depth, thread count, and shard count. `depth ≤ 1` *is* the
-    /// sequential path (the pipeline's proof anchor); `depth = 3`
-    /// reaches the full update(N+2) ∥ build(N+1) ∥ render(N) overlap.
+    /// any depth, thread count, and shard count. Every depth runs the
+    /// same task graph: `depth ≤ 1` admits one frame at a time, and
+    /// `depth = 3` reaches the full update(N+2) ∥ build(N+1) ∥ render(N)
+    /// overlap. Frames with an invalid scene or camera come back as
+    /// [`StreamFrame::Failed`] under every retry policy.
     pub fn run_stream(
         &self,
         source: &dyn FrameSource,
@@ -700,12 +688,15 @@ impl SceneSetup {
             .unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Fallible [`Self::run_stream`]: validates the configuration up
-    /// front and returns a typed [`GrtxError`] instead of panicking.
-    /// Under a quarantining [`RunOptions::retry`] policy, frames whose
-    /// stage tasks exhaust their attempts come back as
-    /// [`StreamFrame::Failed`] — in frame order, while unaffected frames
-    /// keep rendering, bit-identical to a fault-free run.
+    /// Fallible [`Self::run_stream`]: validates the GPU configuration up
+    /// front and returns a typed [`GrtxError`] instead of panicking. A
+    /// frame whose scene or camera is invalid comes back as
+    /// [`StreamFrame::Failed`] with [`GrtxError::InvalidScene`] or
+    /// [`GrtxError::InvalidCamera`], under any retry policy. Under a
+    /// quarantining [`RunOptions::retry`] policy, frames whose stage
+    /// tasks exhaust their attempts come back as [`StreamFrame::Failed`]
+    /// too — in frame order, while unaffected frames keep rendering,
+    /// bit-identical to a fault-free run.
     pub fn try_run_stream(
         &self,
         source: &dyn FrameSource,

@@ -188,9 +188,10 @@ fn orbit_stream_frame_zero_is_run_views() {
     }
 }
 
-/// Wall-clock: a depth-2 pipeline over 4 frames must beat sequential
-/// per-frame runs at 4 threads — the overlap hides each frame's serial
-/// scene-update and build phases behind the previous frame's render.
+/// Wall-clock: a depth-2 pipeline over 4 frames must beat depth 1 (the
+/// same task graph, one frame in flight) at 4 threads — the overlap
+/// hides each frame's serial scene-update and build phases behind the
+/// previous frame's render.
 ///
 /// Wall-clock assertions are too noisy for shared CI runners, so this
 /// only arms itself on dedicated hardware: set `GRTX_PERF=1` with ≥ 4

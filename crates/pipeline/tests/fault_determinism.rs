@@ -1,14 +1,17 @@
 //! The failure-path determinism contract: the same seed-scattered
 //! `FaultPlan` produces the same `FaultLog` — and the same per-frame
-//! outcomes — at any thread count and any pipeline depth, and recovered
-//! transient-fault streams are bit-identical to fault-free runs.
+//! outcomes — at any thread count and any pipeline depth, recovered
+//! transient-fault streams are bit-identical to fault-free runs, and
+//! frames with invalid inputs fail typed without disturbing the rest.
 
 use grtx_fault::{
-    silence_injected_panics, FaultInjector, FaultLog, FaultPlan, FaultSite, RetryPolicy,
+    silence_injected_panics, FaultInjector, FaultLog, FaultPlan, FaultSite, GrtxError, RetryPolicy,
 };
-use grtx_pipeline::{try_run_stream, FrameOutcome, JitterSource, StreamConfig};
+use grtx_pipeline::{
+    try_run_stream, FrameOutcome, FrameSource, FrameSpec, JitterSource, StreamConfig,
+};
 use grtx_scene::synth::generate_scene;
-use grtx_scene::{Camera, CameraModel, SceneKind};
+use grtx_scene::{Camera, CameraModel, GaussianScene, SceneKind};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -138,5 +141,67 @@ fn recovered_streams_match_fault_free_runs() {
             "depth {depth}: the frame-2 build fault fails twice before succeeding"
         );
         assert!(log.count_for(FaultSite::Merge) >= 2, "depth {depth}");
+    }
+}
+
+/// [`source`] with a NaN sigma bound on frame 2's fresh scene (scene
+/// constructors drop invalid Gaussians, so this is the non-finite value
+/// a scene can carry) and a 0×0 camera on frame 5.
+struct Broken(JitterSource);
+
+impl FrameSource for Broken {
+    fn frame(&self, index: usize) -> FrameSpec {
+        let mut spec = self.0.frame(index);
+        if index == 2 {
+            let gaussians = spec.scene.take().expect("fresh frame").gaussians().to_vec();
+            let scene = GaussianScene::with_sigma_bound(gaussians, f32::NAN);
+            spec.scene = Some(Arc::new(scene));
+        }
+        if index == 5 {
+            spec.cameras[0].width = 0;
+            spec.cameras[0].height = 0;
+        }
+        spec
+    }
+}
+
+/// The update task validates every frame, under every retry policy and
+/// at every depth: an invalid scene or camera fails its frame with a
+/// typed error, a successor that reuses the invalid frame's scene fails
+/// as its dependent, and the next fresh scene renders bit-identically to
+/// a clean stream.
+#[test]
+fn invalid_frames_fail_typed_and_the_stream_resumes() {
+    for retry in [RetryPolicy::default(), RetryPolicy::resilient(3)] {
+        for depth in [1usize, 3] {
+            let tag = format!("{retry:?}, depth {depth}");
+            let config = StreamConfig {
+                depth,
+                threads: 2,
+                retry,
+                ..Default::default()
+            };
+            let clean = try_run_stream(&source(), 6, &config).expect("valid configuration");
+            let broken =
+                try_run_stream(&Broken(source()), 6, &config).expect("valid configuration");
+            let errors: Vec<_> = broken.iter().map(FrameOutcome::error).collect();
+            let failed: Vec<_> = errors.iter().map(Option::is_some).collect();
+            assert_eq!(failed, [false, false, true, true, false, true], "{tag}");
+            assert!(
+                matches!(errors[2], Some(GrtxError::InvalidScene { .. })),
+                "{tag}: {errors:?}"
+            );
+            let dependent = GrtxError::DependencyFailed {
+                frame: 3,
+                dependency: 2,
+            };
+            assert_eq!(errors[3], Some(&dependent), "{tag}");
+            assert!(
+                matches!(errors[5], Some(GrtxError::InvalidCamera { .. })),
+                "{tag}: {errors:?}"
+            );
+            assert_outcomes_identical(&tag, &broken[..2], &clean[..2]);
+            assert_outcomes_identical(&tag, &broken[4..5], &clean[4..5]);
+        }
     }
 }

@@ -60,40 +60,54 @@ fn poisoned_pool_preserves_the_payload_drains_and_recovers() {
         ..Default::default()
     };
 
-    // 1. A foreign panic in the update stage: the pool drains (this
-    //    call returning at all is the no-deadlock check) and the caller
-    //    receives the original payload, not a re-wrapped description.
     let hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
-    let source = PanickySource {
-        inner: OrbitSource::new(scene.clone(), base_camera(), 1, 0.3),
-        panic_at: 2,
-    };
-    let result = std::panic::catch_unwind(|| run_stream(&source, 5, &config));
-    let payload = result.expect_err("a stage panic must propagate to the caller");
-    let marker = payload
-        .downcast_ref::<Marker>()
-        .expect("the original panic payload must be preserved");
-    assert_eq!(marker.frame, 2);
+    // Depth 1 runs the same pool with one frame in flight, so the
+    // contract holds there too.
+    for depth in [1usize, 3] {
+        // 1. A foreign panic in the update stage: the pool drains (this
+        //    call returning at all is the no-deadlock check) and the
+        //    caller receives the original payload, not a re-wrapped
+        //    description.
+        let source = PanickySource {
+            inner: OrbitSource::new(scene.clone(), base_camera(), 1, 0.3),
+            panic_at: 2,
+        };
+        let config = StreamConfig {
+            depth,
+            ..config.clone()
+        };
+        let result = std::panic::catch_unwind(|| run_stream(&source, 5, &config));
+        let payload = result.expect_err("a stage panic must propagate to the caller");
+        let marker = payload
+            .downcast_ref::<Marker>()
+            .expect("the original panic payload must be preserved");
+        assert_eq!(marker.frame, 2, "depth {depth}");
 
-    // 2. An injected fault under the *default* policy behaves exactly
-    //    like any other stage panic — poison, drain, and the typed
-    //    `InjectedFault` payload surfaces unchanged.
-    let faulty = StreamConfig {
-        depth: 3,
-        threads: 4,
-        faults: FaultInjector::with_plan(FaultPlan::new().permanent(FaultSite::Build, 1)),
-        retry: RetryPolicy::default(),
-        ..Default::default()
-    };
-    let source = OrbitSource::new(scene.clone(), base_camera(), 1, 0.3);
-    let result = std::panic::catch_unwind(|| run_stream(&source, 4, &faulty));
-    let payload = result.expect_err("an injected fault must propagate under the default policy");
-    let fault = payload
-        .downcast_ref::<InjectedFault>()
-        .expect("the injected payload must be preserved");
-    assert_eq!(fault.site, FaultSite::Build);
-    assert_eq!(fault.key >> 32, 1, "the fault fired on frame 1");
+        // 2. An injected fault under the *default* policy behaves
+        //    exactly like any other stage panic — poison, drain, and the
+        //    typed `InjectedFault` payload surfaces unchanged.
+        let faulty = StreamConfig {
+            depth,
+            threads: 4,
+            faults: FaultInjector::with_plan(FaultPlan::new().permanent(FaultSite::Build, 1)),
+            retry: RetryPolicy::default(),
+            ..Default::default()
+        };
+        let source = OrbitSource::new(scene.clone(), base_camera(), 1, 0.3);
+        let result = std::panic::catch_unwind(|| run_stream(&source, 4, &faulty));
+        let payload =
+            result.expect_err("an injected fault must propagate under the default policy");
+        let fault = payload
+            .downcast_ref::<InjectedFault>()
+            .expect("the injected payload must be preserved");
+        assert_eq!(fault.site, FaultSite::Build, "depth {depth}");
+        assert_eq!(
+            fault.key >> 32,
+            1,
+            "depth {depth}: the fault fired on frame 1"
+        );
+    }
     std::panic::set_hook(hook);
 
     // 3. The process is healthy afterwards: a fresh stream on a fresh

@@ -1,14 +1,17 @@
 //! The pipeline's determinism contract at the engine level: frames from
 //! the overlapped scheduler are bit-identical — images, cycles, every
-//! statistic, structure accounting — to the sequential per-frame path,
-//! in strict frame order, at any depth, thread count, and shard count.
+//! statistic, structure accounting — to building and batch-rendering
+//! each frame one at a time, in strict frame order, at any depth, thread
+//! count, and shard count.
 
+use grtx_bvh::AccelStruct;
 use grtx_pipeline::{
-    run_sequential, run_stream, FrameResult, FrameSource, FrameSpec, JitterSource, OrbitSource,
-    StreamConfig,
+    run_stream, FrameResult, FrameSource, FrameSpec, JitterSource, OrbitSource, StreamConfig,
 };
+use grtx_render::RenderEngine;
 use grtx_scene::synth::generate_scene;
 use grtx_scene::{Camera, CameraModel, SceneKind};
+use grtx_shard::ShardedAccel;
 use std::sync::Arc;
 
 fn train_scene(budget: usize) -> Arc<grtx_scene::GaussianScene> {
@@ -27,6 +30,64 @@ fn base_camera() -> Camera {
         grtx_math::Vec3::ZERO,
         grtx_math::Vec3::Y,
     )
+}
+
+/// The sequential oracle, independent of the pipeline: per frame, build
+/// the structure (sharded when `shards > 0`, reused when the source
+/// reports the scene unchanged), then `RenderEngine::render_batch` the
+/// frame's cameras.
+fn sequential_frames(
+    source: &dyn FrameSource,
+    frames: usize,
+    config: &StreamConfig,
+) -> Vec<FrameResult> {
+    let engine = RenderEngine::new(config.gpu.clone()).with_threads(config.threads);
+    let mut current = None;
+    (0..frames)
+        .map(|index| {
+            let spec = source.frame(index);
+            let rebuilt = spec.scene.is_some();
+            if let Some(scene) = spec.scene {
+                let (accel, sharding) = if config.shards > 0 {
+                    let sharded = ShardedAccel::build(
+                        &scene,
+                        config.primitive,
+                        config.two_level,
+                        &config.layout,
+                        config.shards,
+                        config.threads,
+                    );
+                    let summary = sharded.summary();
+                    (sharded.into_accel(), Some(summary))
+                } else {
+                    let accel = AccelStruct::build(
+                        &scene,
+                        config.primitive,
+                        config.two_level,
+                        &config.layout,
+                    );
+                    (accel, None)
+                };
+                current = Some((scene, accel, sharding));
+            }
+            let (scene, accel, sharding) = current.as_ref().expect("frame 0 supplies a scene");
+            FrameResult {
+                index,
+                gaussians: scene.len(),
+                rebuilt,
+                reports: engine.render_batch(
+                    accel,
+                    scene,
+                    &spec.cameras,
+                    config.effects.as_ref(),
+                    &config.render,
+                ),
+                size: *accel.size_report(),
+                height: accel.height(),
+                sharding: sharding.clone(),
+            }
+        })
+        .collect()
 }
 
 fn assert_frames_identical(label: &str, a: &[FrameResult], b: &[FrameResult]) {
@@ -65,8 +126,8 @@ fn assert_frames_identical(label: &str, a: &[FrameResult], b: &[FrameResult]) {
 }
 
 /// Orbit (rebuild-free) and jitter (rebuild-heavy) streams are
-/// bit-identical to the sequential path across the full depth × threads
-/// × shards grid.
+/// bit-identical to the sequential oracle across the full depth ×
+/// threads × shards grid.
 #[test]
 fn stream_matches_sequential_across_depths_threads_and_shards() {
     let scene = train_scene(400);
@@ -75,17 +136,16 @@ fn stream_matches_sequential_across_depths_threads_and_shards() {
     let sources: [(&str, &dyn FrameSource); 2] = [("orbit", &orbit), ("jitter", &jitter)];
     for (name, source) in sources {
         for shards in [1usize, 4] {
-            let reference = run_sequential(
+            let reference = sequential_frames(
                 source,
                 4,
                 &StreamConfig {
-                    depth: 1,
                     threads: 1,
                     shards,
                     ..Default::default()
                 },
             );
-            for depth in [1usize, 2, 3] {
+            for depth in [0usize, 1, 2, 3] {
                 for threads in [1usize, 4] {
                     let config = StreamConfig {
                         depth,
@@ -246,8 +306,9 @@ fn old_frame_slots_release_their_scenes() {
     assert_eq!(frames.len(), 10);
 }
 
-/// A sourceless first frame is a contract violation — pipelined workers
-/// forward the panic to the caller instead of hanging.
+/// A sourceless first frame is a contract violation — pool workers
+/// forward the panic to the caller instead of hanging, at depth 1 as at
+/// depth 2.
 #[test]
 #[should_panic(expected = "frame 0 must supply a scene")]
 fn sceneless_first_frame_panics_through_the_pool() {
@@ -260,13 +321,24 @@ fn sceneless_first_frame_panics_through_the_pool() {
             }
         }
     }
-    let _ = run_stream(
-        &Sceneless,
-        2,
-        &StreamConfig {
-            depth: 2,
-            threads: 2,
-            ..Default::default()
-        },
-    );
+    let run = |depth: usize| {
+        run_stream(
+            &Sceneless,
+            2,
+            &StreamConfig {
+                depth,
+                threads: 2,
+                ..Default::default()
+            },
+        )
+    };
+    // Depth 1's panic is caught and checked here; depth 2's reaches the
+    // harness.
+    let payload = std::panic::catch_unwind(|| run(1)).expect_err("depth 1 must panic too");
+    let message = payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str));
+    assert_eq!(message, Some("frame 0 must supply a scene"), "depth 1");
+    let _ = run(2);
 }

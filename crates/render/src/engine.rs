@@ -311,72 +311,21 @@ impl RenderEngine {
             validate_camera(camera)?;
         }
         scene.validate()?;
-        Ok(self.render_batch_keyed(0, accel, scene, cameras, effects, config))
-    }
-
-    /// [`Self::render_batch`] with an explicit profiler key base: camera
-    /// `c` profiles under launch key `base_key + c`.
-    ///
-    /// Callers that drive many batches through one engine pick
-    /// non-overlapping bases so launches stay separable in profile
-    /// exports — the frame pipeline passes `frame << 32`, matching the
-    /// `(frame << 32) | camera` keys of its task-graph path so both
-    /// paths emit byte-identical profiles. Rendering itself ignores the
-    /// key entirely.
-    pub fn render_batch_keyed(
-        &self,
-        base_key: u64,
-        accel: &AccelStruct,
-        scene: &GaussianScene,
-        cameras: &[Camera],
-        effects: Option<&EffectObjects>,
-        config: &RenderConfig,
-    ) -> Vec<RenderReport> {
         if cameras.is_empty() {
             // An empty batch renders nothing: no planning, no worker
             // fan-out, no reports.
-            return Vec::new();
+            return Ok(Vec::new());
         }
         let warp_size = self.gpu.warp_size.max(1);
         let num_sms = self.gpu.num_sms.max(1);
         let threads = self.effective_threads_for(cameras.len());
 
-        // Plan every camera's launch up front. Planning is pure and
-        // per-camera independent, so big batches plan on the worker pool
-        // too — camera `c` to worker `c % plan_threads` — with results
-        // landing by index, deterministically.
-        let plan_threads = threads.min(cameras.len());
-        let launches: Vec<CameraLaunch> = if plan_threads <= 1 {
-            cameras
-                .iter()
-                .map(|camera| CameraLaunch::plan(camera, effects, warp_size))
-                .collect()
-        } else {
-            let mut planned: Vec<Option<CameraLaunch>> = (0..cameras.len()).map(|_| None).collect();
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..plan_threads)
-                    .map(|worker| {
-                        scope.spawn(move || {
-                            (worker..cameras.len())
-                                .step_by(plan_threads)
-                                .map(|cam| {
-                                    (cam, CameraLaunch::plan(&cameras[cam], effects, warp_size))
-                                })
-                                .collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                for handle in handles {
-                    for (cam, launch) in handle.join().expect("plan worker panicked") {
-                        planned[cam] = Some(launch);
-                    }
-                }
-            });
-            planned
-                .into_iter()
-                .map(|l| l.expect("every camera planned"))
-                .collect()
-        };
+        // Plan every camera's launch up front, serially — the way the
+        // frame pipeline's update task plans them.
+        let launches: Vec<CameraLaunch> = cameras
+            .iter()
+            .map(|camera| CameraLaunch::plan(camera, effects, warp_size))
+            .collect();
         // Single source of the warp-to-SM policy: the same schedule that
         // reduces warp times to a makespan decides which fragment
         // simulates each warp.
@@ -425,10 +374,11 @@ impl RenderEngine {
         // the pipeline drives through `merge_launch`. Batch-wide flat
         // warp storage would be addressed by
         // `WarpSchedule::launch_warp_bases`; here each camera's warps
-        // merge launch-locally, which holds identical values.
+        // merge launch-locally, which holds identical values. Camera `c`
+        // profiles under launch key `c`.
         let mut outcomes = outcomes.into_iter();
         let mut merge_recorder = self.telemetry.recorder("render-merge");
-        launches
+        Ok(launches
             .iter()
             .zip(cameras)
             .enumerate()
@@ -445,11 +395,11 @@ impl RenderEngine {
                         &schedule,
                         mine,
                         &self.profiler,
-                        base_key + cam as u64,
+                        cam as u64,
                     )
                 })
             })
-            .collect()
+            .collect())
     }
 
     /// Plans one camera's raygen launch: pixels partition into primary

@@ -21,8 +21,8 @@
 //!   the checkpoint buffer and rejected Gaussians are recycled through
 //!   the eviction buffer (Listing 1 / Fig. 11).
 //!
-//! [`renderer`] drives whole images through the `grtx-sim` GPU model in
-//! SIMT warps; [`raster`] implements the tile-based 3DGS rasterizer used
+//! [`engine`] drives whole images through the `grtx-sim` GPU model in
+//! SIMT warps, configured by [`renderer`]'s types; [`raster`] implements the tile-based 3DGS rasterizer used
 //! as the Fig. 4a reference point.
 
 pub mod blend;
@@ -38,5 +38,5 @@ pub use engine::{validate_camera, validate_gpu, CameraLaunch, RenderEngine, SmOu
 pub use image::Image;
 pub use kbuffer::{InsertOutcome, KBuffer};
 pub use raster::{render_rasterized, try_render_rasterized, RasterConfig, RasterReport};
-pub use renderer::{render_simulated, RenderConfig, RenderReport, SecondaryBreakdown};
+pub use renderer::{RenderConfig, RenderReport, SecondaryBreakdown};
 pub use tracer::{KBufferStorage, RayTracer, RoundReport, RoundStatus, TraceMode, TraceParams};
