@@ -11,6 +11,7 @@
 //! Future PRs diff their numbers against the committed file to track the
 //! perf trajectory (absolute nanoseconds are machine-dependent; the
 //! speedup ratios are the comparable signal).
+#![expect(clippy::disallowed_types, reason = "a timing harness")]
 
 use std::hint::black_box;
 use std::time::Instant;

@@ -153,8 +153,8 @@ pub fn kernel_tri_ray() -> grtx_math::Ray {
     )
 }
 
-/// The ray the node-visit sweep (and the `GRTX_PERF` speedup gate)
-/// fires through the [`kernel_grid_prims`] BVH.
+/// The ray the node-visit sweep fires through the [`kernel_grid_prims`]
+/// BVH.
 pub fn kernel_visit_ray() -> grtx_math::Ray {
     use grtx_math::{Ray, Vec3};
     Ray::new(
@@ -163,10 +163,9 @@ pub fn kernel_visit_ray() -> grtx_math::Ray {
     )
 }
 
-/// Pseudo-random grid of build primitives shared by the kernel benches,
-/// the committed `BENCH_kernels.json` baseline dump, and the
-/// `GRTX_PERF`-gated kernel speedup test — one definition so their
-/// numbers stay comparable.
+/// Pseudo-random grid of build primitives shared by the kernel benches
+/// and the committed `BENCH_kernels.json` baseline dump — one
+/// definition so their numbers stay comparable.
 pub fn kernel_grid_prims(n: usize) -> Vec<grtx_bvh::BuildPrim> {
     use grtx_math::Vec3;
     (0..n)
@@ -186,7 +185,10 @@ pub fn kernel_grid_prims(n: usize) -> Vec<grtx_bvh::BuildPrim> {
 
 /// AoS copy of a wide BVH's per-node child boxes, replicating the
 /// pre-SIMD `Vec<WideChild>` layout for scalar-loop baselines.
-#[allow(clippy::type_complexity)]
+#[allow(
+    clippy::type_complexity,
+    reason = "spells out the pre-SIMD per-node layout it replicates"
+)]
 pub fn aos_node_boxes(
     bvh: &grtx_bvh::WideBvh,
 ) -> Vec<(usize, [grtx_math::Aabb; grtx_bvh::wide::MAX_WIDTH])> {

@@ -98,7 +98,10 @@ impl MonolithicBvh {
     ///
     /// Panics if `primitive` is not [`BoundingPrimitive::Mesh20`] or
     /// [`BoundingPrimitive::Mesh80`].
-    #[allow(clippy::type_complexity)]
+    #[allow(
+        clippy::type_complexity,
+        reason = "the (prims, world triangles, owners) triple the mesh builders destructure"
+    )]
     pub fn mesh_build_prims(
         scene: &GaussianScene,
         primitive: BoundingPrimitive,

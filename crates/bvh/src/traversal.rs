@@ -218,7 +218,10 @@ pub struct RoundOutcome {
 ///   that fail the `t_max` validation; `None` discards them (baseline).
 /// * `any_hit` — the any-hit shader: receives `(gaussian id, t_hit)` and
 ///   decides whether to commit (shrink `t_max`) or ignore.
-#[allow(clippy::too_many_arguments)] // mirrors the traceRayEXT surface: structure, ray, interval, buffers, hooks
+#[allow(
+    clippy::too_many_arguments,
+    reason = "mirrors the traceRayEXT surface: structure, ray, interval, buffers, hooks"
+)]
 pub fn trace_round(
     accel: &AccelStruct,
     scene: &GaussianScene,

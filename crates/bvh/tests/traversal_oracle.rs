@@ -114,8 +114,8 @@ fn assert_hits_match_graze(
     a: Vec<(u32, f32)>,
     b: Vec<(u32, f32)>,
 ) -> Result<(), TestCaseError> {
-    let set_a: std::collections::HashSet<u32> = a.iter().map(|h| h.0).collect();
-    let set_b: std::collections::HashSet<u32> = b.iter().map(|h| h.0).collect();
+    let set_a: std::collections::BTreeSet<u32> = a.iter().map(|h| h.0).collect();
+    let set_b: std::collections::BTreeSet<u32> = b.iter().map(|h| h.0).collect();
     for &g in set_a.symmetric_difference(&set_b) {
         let gaussian = scene.gaussian(g as usize);
         let inv = gaussian.world_to_canonical();
@@ -129,7 +129,7 @@ fn assert_hits_match_graze(
         );
     }
     // Hits present in both must agree on t.
-    let map_b: std::collections::HashMap<u32, f32> = b.iter().map(|&(g, t)| (g, t)).collect();
+    let map_b: std::collections::BTreeMap<u32, f32> = b.iter().map(|&(g, t)| (g, t)).collect();
     for (g, t) in &a {
         if let Some(tb) = map_b.get(g) {
             prop_assert!(

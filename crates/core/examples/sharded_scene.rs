@@ -6,6 +6,10 @@
 //! ```sh
 //! cargo run --release --example sharded_scene
 //! ```
+#![expect(
+    clippy::disallowed_types,
+    reason = "prints host build times, which no result depends on"
+)]
 
 use grtx::{format_bytes, LayoutConfig, PipelineVariant, RunOptions, SceneSetup};
 use grtx_scene::SceneKind;

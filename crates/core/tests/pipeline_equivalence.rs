@@ -8,7 +8,6 @@
 use grtx::{ExperimentResult, FrameSource, PipelineVariant, RunOptions, SceneSetup, StreamFrame};
 use grtx_scene::SceneKind;
 use std::sync::Arc;
-use std::time::Instant;
 
 fn tiny_setup() -> SceneSetup {
     SceneSetup::evaluation(SceneKind::Room, 2000, 24, 11)
@@ -186,57 +185,4 @@ fn orbit_stream_frame_zero_is_run_views() {
         assert_eq!(got.report.cycles, want.report.cycles);
         assert_eq!(got.report.stats, want.report.stats);
     }
-}
-
-/// Wall-clock: a depth-2 pipeline over 4 frames must beat depth 1 (the
-/// same task graph, one frame in flight) at 4 threads — the overlap
-/// hides each frame's serial scene-update and build phases behind the
-/// previous frame's render.
-///
-/// Wall-clock assertions are too noisy for shared CI runners, so this
-/// only arms itself on dedicated hardware: set `GRTX_PERF=1` with ≥ 4
-/// cores available (both conditions are checked, with a note when
-/// skipping).
-#[test]
-fn depth_two_pipeline_beats_sequential_frames() {
-    if std::env::var("GRTX_PERF").is_err() {
-        eprintln!(
-            "skipping pipeline speedup assertion: set GRTX_PERF=1 on dedicated >=4-core hardware"
-        );
-        return;
-    }
-    let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
-    if hw < 4 {
-        eprintln!("skipping pipeline speedup assertion: needs >= 4 cores, host has {hw}");
-        return;
-    }
-    // A rebuild-every-frame animated scene: the workload whose update +
-    // build stages are worth overlapping with rendering.
-    let setup = SceneSetup::evaluation(SceneKind::Train, 400, 64, 11);
-    let variant = PipelineVariant::grtx();
-    let options = RunOptions {
-        threads: 4,
-        shards: 4,
-        ..Default::default()
-    };
-    let source = setup.jitter_source(0.05, 1);
-    const FRAMES: usize = 4;
-    // Warm caches/allocator, then best-of-two to damp scheduler noise.
-    let mut pipe_s = f64::INFINITY;
-    let mut seq_s = f64::INFINITY;
-    for _ in 0..2 {
-        let start = Instant::now();
-        let frames = setup.run_stream(&source, FRAMES, &variant, &options, 2);
-        pipe_s = pipe_s.min(start.elapsed().as_secs_f64());
-        assert_eq!(frames.len(), FRAMES);
-
-        let start = Instant::now();
-        let frames = setup.run_stream(&source, FRAMES, &variant, &options, 1);
-        seq_s = seq_s.min(start.elapsed().as_secs_f64());
-        assert_eq!(frames.len(), FRAMES);
-    }
-    assert!(
-        pipe_s < seq_s,
-        "depth-2 pipeline must beat sequential frames ({pipe_s:.3}s vs {seq_s:.3}s)"
-    );
 }

@@ -174,62 +174,3 @@ fn counter_matrix_sums_exactly_to_global_simstats() {
     );
     assert!(global.rounds > 0, "the workload really simulated");
 }
-
-/// A disabled profiler must cost nothing measurable: every hook is one
-/// `Option` branch. Wall-clock assertions are too noisy for shared CI
-/// runners, so this only arms itself on dedicated hardware: set
-/// `GRTX_PERF=1` (with a note when skipping).
-#[test]
-fn disabled_profiler_adds_no_measurable_overhead() {
-    if std::env::var("GRTX_PERF").is_err() {
-        eprintln!("skipping overhead assertion: set GRTX_PERF=1 on dedicated hardware");
-        return;
-    }
-    use std::time::Instant;
-    let setup = SceneSetup::evaluation(SceneKind::Train, 200, 96, 42);
-    let variant = PipelineVariant::grtx();
-    let accel = setup.build_accel(&variant, &grtx::LayoutConfig::default());
-    let time = |options: &RunOptions| {
-        // Warm up, then best-of-three to damp scheduler noise.
-        let mut best = f64::INFINITY;
-        for _ in 0..3 {
-            let start = Instant::now();
-            let result = setup.run_with_accel(&accel, &variant, options);
-            best = best.min(start.elapsed().as_secs_f64());
-            assert!(result.report.cycles > 0);
-        }
-        best
-    };
-    let off = RunOptions {
-        k: 8,
-        threads: 1,
-        ..Default::default()
-    };
-    let baseline = time(&off);
-    let rerun = time(&off); // re-measure: the honest noise floor
-    let disabled = time(&RunOptions {
-        profiler: Profiler::disabled(),
-        ..off.clone()
-    });
-    let enabled = time(&RunOptions {
-        profiler: Profiler::enabled(),
-        ..off.clone()
-    });
-    let noise = (baseline - rerun).abs() / baseline;
-    let delta = (disabled - baseline) / baseline;
-    assert!(
-        delta < 0.05 + 2.0 * noise,
-        "disabled profiler must be within noise of no profiler: \
-         baseline {baseline:.3}s, disabled-handle {disabled:.3}s \
-         ({delta:+.1}% vs noise floor {noise:.1}%)"
-    );
-    // Sanity bound on the *enabled* path too: recording is allowed to
-    // cost something, but an accidental always-on hot-loop (quadratic
-    // interval scans, lock thrash) would blow well past this.
-    let enabled_delta = (enabled - baseline) / baseline;
-    assert!(
-        enabled_delta < 0.5 + 2.0 * noise,
-        "enabled profiler overhead out of bounds: baseline {baseline:.3}s, \
-         enabled {enabled:.3}s ({enabled_delta:+.1}%)"
-    );
-}

@@ -37,7 +37,7 @@ impl fmt::Display for InjectedFault {
 }
 
 /// One recorded injection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultRecord {
     /// The site that fired.
     pub site: FaultSite,
@@ -179,7 +179,7 @@ impl FaultInjector {
                 .clone(),
             None => Vec::new(),
         };
-        records.sort_unstable();
+        records.sort_unstable_by_key(|r| (r.site as u8, r.key, r.unit, r.attempt, r.permanent));
         FaultLog { records }
     }
 }
@@ -215,6 +215,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "catches the injected payload outside a pipeline"
+    )]
     fn probe_records_then_panics_with_typed_payload() {
         silence_injected_panics();
         let injector =
@@ -236,19 +240,48 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "fires injected faults outside a pipeline"
+    )]
     fn log_is_canonically_sorted() {
         silence_injected_panics();
         let plan = FaultPlan::new()
             .transient(FaultSite::Merge, 1, 1)
-            .transient(FaultSite::Build, 0, 1);
+            .transient(FaultSite::Build, 0, 1)
+            .transient(FaultSite::Fragment, 2, 2);
         let injector = FaultInjector::with_plan(plan);
-        for (site, key) in [(FaultSite::Merge, 1u64 << 32), (FaultSite::Build, 0)] {
+        // Probed out of order. The fragment records tie on (site, key),
+        // so unit, then attempt, must order them.
+        let fragment = 2u64 << 32;
+        for (site, key, unit, attempt) in [
+            (FaultSite::Merge, 1u64 << 32, 0, 0),
+            (FaultSite::Build, 0, 0, 0),
+            (FaultSite::Fragment, fragment, 3, 1),
+            (FaultSite::Fragment, fragment, 1, 0),
+            (FaultSite::Fragment, fragment, 3, 0),
+            (FaultSite::Fragment, fragment, 1, 1),
+        ] {
             let handle = injector.clone();
-            let _ = std::panic::catch_unwind(move || handle.probe(site, key, 0, 0));
+            let _ = std::panic::catch_unwind(move || handle.probe(site, key, unit, attempt));
         }
-        let log = injector.log();
-        assert_eq!(log.records[0].site, FaultSite::Build);
-        assert_eq!(log.records[1].site, FaultSite::Merge);
+        let order: Vec<_> = injector
+            .log()
+            .records
+            .iter()
+            .map(|r| (r.site, r.unit, r.attempt))
+            .collect();
+        assert_eq!(
+            order,
+            [
+                (FaultSite::Build, 0, 0),
+                (FaultSite::Fragment, 1, 0),
+                (FaultSite::Fragment, 1, 1),
+                (FaultSite::Fragment, 3, 0),
+                (FaultSite::Fragment, 3, 1),
+                (FaultSite::Merge, 0, 0),
+            ]
+        );
     }
 
     #[test]

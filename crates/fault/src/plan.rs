@@ -4,9 +4,9 @@
 /// A named pipeline stage where faults can be injected (and where the
 /// scheduler attributes failures).
 ///
-/// The `Ord` impl defines the canonical [`FaultLog`](crate::FaultLog)
-/// sort order, so logs compare equal across schedules.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+/// Declaration order is pipeline order: [`FaultLog`](crate::FaultLog)
+/// sorts by the discriminant, so logs compare equal across schedules.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultSite {
     /// The update stage: frame-spec production and launch planning.
     /// Not an injection target (updates come from user sources), but

@@ -1,4 +1,8 @@
-#![deny(unsafe_op_in_unsafe_fn)]
+#![allow(
+    unsafe_code,
+    reason = "the one audited unsafe boundary: SIMD intrinsics and target-feature dispatch"
+)]
+#![deny(unsafe_op_in_unsafe_fn, clippy::undocumented_unsafe_blocks)]
 
 //! Linear algebra and geometric intersection primitives for GRTX.
 //!
@@ -23,10 +27,10 @@
 //! # Safety
 //!
 //! `grtx-math` is the **only** workspace crate allowed to contain
-//! `unsafe` code — every other crate pins `#![forbid(unsafe_code)]`,
-//! and `cargo run -p grtx-analyze -- --deny` enforces both sides of
-//! that boundary. All unsafe lives in [`simd`] and falls into exactly
-//! three shapes, each annotated with a `SAFETY:` comment at the site:
+//! `unsafe` code: every other crate pins `#![forbid(unsafe_code)]`, and
+//! CI runs clippy with `-D unsafe_code`, which this crate alone allows.
+//! All unsafe lives in [`simd`] and falls into exactly three shapes,
+//! each annotated with a `SAFETY:` comment at the site:
 //!
 //! 1. **Target-feature dispatch** — calling an AVX2
 //!    `#[target_feature]` kernel after
@@ -37,9 +41,12 @@
 //! 3. **Baseline-feature intrinsics** — NEON value ops on `aarch64`
 //!    (mandatory feature) and SSE2 on `x86-64` (baseline feature).
 //!
-//! `#![deny(unsafe_op_in_unsafe_fn)]` keeps those obligations visible:
-//! every unsafe operation needs its own `unsafe { }` block (and
-//! `SAFETY:` comment) even inside `unsafe fn` bodies.
+//! `#![deny(unsafe_op_in_unsafe_fn, clippy::undocumented_unsafe_blocks)]`
+//! keeps those obligations visible: every unsafe operation needs its
+//! own `unsafe { }` block with a `SAFETY:` comment, even inside
+//! `unsafe fn` bodies. Clippy's `missing_safety_doc`, extended to
+//! private items by the workspace `clippy.toml`, requires a `# Safety`
+//! section on every `unsafe fn`.
 
 pub mod aabb;
 pub mod intersect;

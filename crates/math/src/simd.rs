@@ -189,7 +189,7 @@ pub fn slab_test_8(ray: &RayInv, boxes: &SoaAabbs) -> HitMask8 {
         // NEON is a mandatory feature of aarch64.
         return neon::slab_test_8_neon(ray, boxes);
     }
-    #[allow(unreachable_code)]
+    #[allow(unreachable_code, reason = "the NEON path returns first on aarch64")]
     slab_test_8_portable(ray, boxes)
 }
 
@@ -229,6 +229,7 @@ pub fn slab_test_8_portable(ray: &RayInv, boxes: &SoaAabbs) -> HitMask8 {
             (boxes.max_z[i] - oz) * iz,
         );
         #[cfg(feature = "fma")]
+        #[expect(clippy::disallowed_methods, reason = "the opt-in `fma` contraction")]
         let (t0x, t1x, t0y, t1y, t0z, t1z) = (
             boxes.min_x[i].mul_add(ix, nx),
             boxes.max_x[i].mul_add(ix, nx),
@@ -380,7 +381,7 @@ pub fn ray_triangle_4(ray: &Ray, tris: &Tri4) -> Tri4Hit {
     {
         return neon::ray_triangle_4_neon(ray, tris);
     }
-    #[allow(unreachable_code)]
+    #[allow(unreachable_code, reason = "the NEON path returns first on aarch64")]
     ray_triangle_4_portable(ray, tris)
 }
 
@@ -388,10 +389,10 @@ pub fn ray_triangle_4(ray: &Ray, tris: &Tri4) -> Tri4Hit {
 /// the explicit-SIMD paths must match bitwise. Per lane it performs the
 /// exact operation sequence (and miss conditions, including their NaN
 /// behavior) of the scalar [`crate::intersect::ray_triangle`].
-// The negated comparisons are deliberate: `!(v < 0.0)` treats NaN as a
-// pass exactly like the scalar early-return conditions, while `v >= 0.0`
-// would not.
-#[allow(clippy::neg_cmp_op_on_partial_ord)]
+#[allow(
+    clippy::neg_cmp_op_on_partial_ord,
+    reason = "`!(v < 0.0)` passes NaN exactly like the scalar early returns; `v >= 0.0` would not"
+)]
 pub fn ray_triangle_4_portable(ray: &Ray, tris: &Tri4) -> Tri4Hit {
     let (ox, oy, oz) = (ray.origin.x, ray.origin.y, ray.origin.z);
     let (dx, dy, dz) = (ray.direction.x, ray.direction.y, ray.direction.z);
@@ -709,7 +710,10 @@ mod neon {
     /// Callers must pass `lane <= LANES - 4` so the four-float loads
     /// starting at `lane` stay inside the 8-wide `SoaAabbs` arrays.
     #[inline]
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "one half-node: the SoA boxes, a lane offset and six broadcast ray registers"
+    )]
     unsafe fn slab_half(
         boxes: &SoaAabbs,
         lane: usize,

@@ -548,6 +548,10 @@ impl<'a> Pipeline<'a> {
         }
     }
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "re-raises a worker panic the choke point chose not to contain"
+    )]
     fn run(self) -> Vec<FrameOutcome> {
         std::thread::scope(|scope| {
             let this = &self;
@@ -574,6 +578,10 @@ impl<'a> Pipeline<'a> {
 
     /// One pool worker: claim, execute, publish, until the stream is
     /// fully merged (or a sibling panicked).
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the single catch point for stage-task panics"
+    )]
     fn worker(&self, index: usize) {
         let mut recorder = self
             .config
@@ -667,6 +675,10 @@ impl<'a> Pipeline<'a> {
     /// the default policy — poison the pipeline and re-raise the
     /// original payload on this worker (diverges, preserving legacy
     /// fail-fast semantics byte for byte).
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "re-raises under the fail-fast policy"
+    )]
     fn handle_panic(&self, id: TaskId, payload: Box<dyn std::any::Any + Send>) -> bool {
         let telemetry = &self.config.telemetry;
         if payload.downcast_ref::<InjectedFault>().is_some() {

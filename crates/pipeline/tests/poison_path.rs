@@ -52,6 +52,10 @@ impl FrameSource for PanickySource {
 }
 
 #[test]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "asserts the payload the pool re-raises"
+)]
 fn poisoned_pool_preserves_the_payload_drains_and_recovers() {
     let scene = train_scene(150);
     let config = StreamConfig {

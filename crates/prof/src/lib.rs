@@ -19,8 +19,8 @@
 //! out back-to-back in canonical launch-key order at export. A profile is
 //! therefore a *pure function of the simulated work* — bit-identical
 //! across runs and host thread counts by construction, and free of the
-//! wall-clock reads `grtx-analyze --deny` forbids outside the telemetry
-//! crate.
+//! wall-clock reads the workspace `clippy.toml` bans outside the
+//! telemetry crate.
 //!
 //! # What gets recorded
 //!

@@ -1,3 +1,8 @@
+#![expect(
+    clippy::disallowed_types,
+    reason = "a calibration tool that reports host wall time"
+)]
+
 use grtx_bvh::{AccelStruct, BoundingPrimitive, LayoutConfig};
 use grtx_render::renderer::RenderConfig;
 use grtx_render::tracer::{TraceMode, TraceParams};

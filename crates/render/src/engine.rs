@@ -513,7 +513,10 @@ impl RenderEngine {
     /// Simulates one `(camera, SM)` fragment: the launch's primary warps
     /// to completion, then its secondary warps, against its own cold L1
     /// + L2 slice.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "one fragment's inputs: SM, schedule, structure, scene, config, launch, warp size"
+    )]
     fn run_sm_fragment(
         &self,
         sm: usize,
@@ -630,7 +633,10 @@ fn merge_camera(
 }
 
 /// Composes one camera's image and report from its merged launch state.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "the merged launch state, passed as the fragments left it"
+)]
 fn compose_report(
     launch: &CameraLaunch,
     camera: &Camera,
@@ -718,7 +724,10 @@ impl WarpExec<'_> {
 /// running each warp to completion in isolation would overstate
 /// cross-round L1 locality and hide the redundant-traversal cost GRTX-HW
 /// removes.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "the warp loop's inputs plus its profile and completion hooks"
+)]
 fn run_warp_queue<'a>(
     sim: &mut GpuSim,
     accel: &'a AccelStruct,

@@ -11,7 +11,6 @@ use grtx_render::RenderEngine;
 use grtx_scene::{synth::generate_scene, Camera, CameraModel, EffectObjects};
 use grtx_scene::{GaussianScene, SceneKind};
 use grtx_sim::GpuConfig;
-use std::time::Instant;
 
 fn setup() -> (GaussianScene, AccelStruct) {
     let scene = generate_scene(SceneKind::Train.profile().with_gaussian_budget(500), 9);
@@ -143,74 +142,4 @@ fn batched_fisheye_corners_show_the_background() {
     let batch = RenderEngine::new(GpuConfig::default())
         .render_batch(&accel, &scene, &cameras, None, &config);
     assert_eq!(batch[1].image.pixel(0), background);
-}
-
-/// Wall-clock: a 4-thread 4-camera batch must beat 4 sequential
-/// 4-thread renders — the fan-out amortizes thread spin-up and removes
-/// the per-camera merge barrier.
-///
-/// Wall-clock assertions are too noisy for shared CI runners, so this
-/// only arms itself on dedicated hardware: set `GRTX_PERF=1` with ≥ 4
-/// cores available (both conditions are checked, with a note when
-/// skipping).
-#[test]
-fn four_camera_batch_beats_sequential_renders() {
-    if std::env::var("GRTX_PERF").is_err() {
-        eprintln!(
-            "skipping batch speedup assertion: set GRTX_PERF=1 on dedicated >=4-core hardware"
-        );
-        return;
-    }
-    let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
-    if hw < 4 {
-        eprintln!("skipping batch speedup assertion: needs >= 4 cores, host has {hw}");
-        return;
-    }
-    let scene = generate_scene(SceneKind::Train.profile().with_gaussian_budget(8_000), 9);
-    let accel = AccelStruct::build(
-        &scene,
-        BoundingPrimitive::UnitSphere,
-        true,
-        &LayoutConfig::default(),
-    );
-    let eye = SceneKind::Train.profile().camera_eye();
-    let cameras: Vec<Camera> = (0..4)
-        .map(|v| {
-            let angle = std::f32::consts::TAU * v as f32 / 4.0;
-            Camera::look_at(
-                96,
-                96,
-                CameraModel::Pinhole { fov_y: 0.9 },
-                Vec3::new(
-                    eye.x * angle.cos() - eye.z * angle.sin(),
-                    eye.y,
-                    eye.x * angle.sin() + eye.z * angle.cos(),
-                ),
-                Vec3::ZERO,
-                Vec3::Y,
-            )
-        })
-        .collect();
-    let config = RenderConfig::default();
-    let engine = RenderEngine::new(GpuConfig::default()).with_threads(4);
-    // Warm caches/allocator, then best-of-two to damp scheduler noise.
-    let mut batch_s = f64::INFINITY;
-    let mut seq_s = f64::INFINITY;
-    for _ in 0..2 {
-        let start = Instant::now();
-        let reports = engine.render_batch(&accel, &scene, &cameras, None, &config);
-        batch_s = batch_s.min(start.elapsed().as_secs_f64());
-        assert_eq!(reports.len(), 4);
-
-        let start = Instant::now();
-        for camera in &cameras {
-            let report = engine.render(&accel, &scene, camera, None, &config);
-            assert!(report.cycles > 0);
-        }
-        seq_s = seq_s.min(start.elapsed().as_secs_f64());
-    }
-    assert!(
-        batch_s < seq_s,
-        "4-camera batch must beat 4 sequential renders ({batch_s:.3}s vs {seq_s:.3}s)"
-    );
 }

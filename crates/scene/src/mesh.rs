@@ -107,10 +107,7 @@ impl TemplateMesh {
         // then scale out to circumscribe.
         let mut vertices: Vec<Vec3> = base.vertices.iter().map(|v| v.normalized()).collect();
         let mut triangles = Vec::with_capacity(80);
-        // grtx-allow(deterministic-collections): insert/lookup cache
-        // only, never iterated — hash order cannot reach any output.
-        let mut midpoint_cache: std::collections::HashMap<(u32, u32), u32> =
-            std::collections::HashMap::new();
+        let mut midpoint_cache = std::collections::BTreeMap::<(u32, u32), u32>::new();
         let mut midpoint = |a: u32, b: u32, vertices: &mut Vec<Vec3>| -> u32 {
             let key = if a < b { (a, b) } else { (b, a) };
             *midpoint_cache.entry(key).or_insert_with(|| {

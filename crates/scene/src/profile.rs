@@ -19,7 +19,7 @@
 use grtx_math::Vec3;
 
 /// The six evaluation scenes of Table II.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SceneKind {
     /// Tanks&Temples "Train" — outdoor, 1.46M Gaussians, fairly uniform.
     Train,

@@ -122,7 +122,10 @@ impl ShardedAccel {
     /// `shard.assemble`), and the summary's wall-clock seconds route
     /// through the handle's clock. A disabled handle reproduces
     /// [`Self::build`] exactly; telemetry never changes the structure.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "`build`'s parameters plus the telemetry handle"
+    )]
     pub fn build_traced(
         scene: &GaussianScene,
         primitive: BoundingPrimitive,

@@ -5,9 +5,10 @@
 //! wall time there. Addresses are already well-distributed, so an
 //! Fx-style multiplicative hash is sufficient.
 
-// grtx-allow(deterministic-collections): this module IS the sanctioned
-// wrapper — the raw std types are re-exported below under a fixed-seed
-// BuildHasherDefault, so hashing is identical on every run.
+#[expect(
+    clippy::disallowed_types,
+    reason = "the sanctioned wrapper: the std types are aliased below under a fixed-seed hasher"
+)]
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -42,10 +43,10 @@ impl Hasher for FxHasher {
 }
 
 /// `HashMap` keyed by integers with the fast hasher.
-// grtx-allow(deterministic-collections): the deterministic alias itself.
+#[expect(clippy::disallowed_types, reason = "the fixed-seed alias itself")]
 pub type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 /// `HashSet` of integers with the fast hasher.
-// grtx-allow(deterministic-collections): the deterministic alias itself.
+#[expect(clippy::disallowed_types, reason = "the fixed-seed alias itself")]
 pub type FastSet<K> = HashSet<K, BuildHasherDefault<FxHasher>>;
 
 #[cfg(test)]

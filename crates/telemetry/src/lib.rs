@@ -60,6 +60,10 @@ pub use report::{CounterSummary, HistogramSummary, SpanSummary, TelemetryReport}
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
+#[expect(
+    clippy::disallowed_types,
+    reason = "this crate owns the wall clock, behind ClockMode"
+)]
 use std::time::Instant;
 
 /// How a [`Telemetry`] handle reads time.
@@ -105,6 +109,7 @@ struct ThreadLog {
 }
 
 #[derive(Debug)]
+#[expect(clippy::disallowed_types, reason = "the wall-clock epoch")]
 struct Inner {
     epoch: Instant,
     clock: ClockMode,
@@ -148,6 +153,7 @@ impl Telemetry {
     /// An enabled handle with an explicit clock.
     /// [`ClockMode::Null`] makes every recorded time exactly `0` —
     /// the deterministic-comparison mode.
+    #[expect(clippy::disallowed_types, reason = "reads the wall-clock epoch")]
     pub fn with_clock(clock: ClockMode) -> Self {
         Self {
             inner: Some(Arc::new(Inner {
@@ -223,6 +229,7 @@ impl Telemetry {
     /// **wall-clock** stopwatches — code that reported wall-clock
     /// seconds before telemetry existed keeps doing so — while the null
     /// clock pins every reading to exactly `0.0`.
+    #[expect(clippy::disallowed_types, reason = "starts the wall-clock stopwatch")]
     pub fn stopwatch(&self) -> Stopwatch {
         let clockless = matches!(
             &self.inner,
@@ -365,6 +372,7 @@ impl Telemetry {
 /// A timer on a [`Telemetry`] handle's clock (see
 /// [`Telemetry::stopwatch`]).
 #[derive(Debug)]
+#[expect(clippy::disallowed_types, reason = "holds the wall-clock start")]
 pub struct Stopwatch {
     /// `None` under the null clock — readings are exactly `0.0`.
     start: Option<Instant>,
